@@ -65,10 +65,21 @@ type Config struct {
 	Fault FaultPlan
 }
 
+// Caps on the knobs that size the driver's allocations: every link
+// buffers ChannelDepth batches plus an ack channel twice as deep, and the
+// switch tree is laid out per TreeFanIn. Both sit far above any useful
+// setting; an uncapped value from a job spec or a flag would exhaust
+// memory before the run starts.
+const (
+	MaxTreeFanIn    = 1 << 10
+	MaxChannelDepth = 1 << 12
+)
+
 // Validate rejects configurations that withDefaults would otherwise
-// paper over: negative knob values and malformed fault plans. Both the
-// cluster driver (Run) and core.New call it, so nonsense surfaces at
-// configuration time rather than as a hung or skewed run.
+// paper over: negative or over-cap knob values and malformed fault
+// plans. Both the cluster driver (Run) and core.New call it, so nonsense
+// surfaces at configuration time rather than as a hung, skewed, or
+// out-of-memory run.
 func (c Config) Validate() error {
 	if c.ComputeNodes < 0 {
 		return fmt.Errorf("cluster: negative ComputeNodes %d", c.ComputeNodes)
@@ -76,8 +87,14 @@ func (c Config) Validate() error {
 	if c.TreeFanIn < 0 {
 		return fmt.Errorf("cluster: negative TreeFanIn %d (use 0 for the flat topology, >= 2 for a tree)", c.TreeFanIn)
 	}
+	if c.TreeFanIn > MaxTreeFanIn {
+		return fmt.Errorf("cluster: TreeFanIn %d above the cap of %d", c.TreeFanIn, MaxTreeFanIn)
+	}
 	if c.ChannelDepth < 0 {
 		return fmt.Errorf("cluster: negative ChannelDepth %d", c.ChannelDepth)
+	}
+	if c.ChannelDepth > MaxChannelDepth {
+		return fmt.Errorf("cluster: ChannelDepth %d above the cap of %d", c.ChannelDepth, MaxChannelDepth)
 	}
 	return c.Fault.Validate()
 }

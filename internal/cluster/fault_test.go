@@ -286,14 +286,22 @@ func TestFaultConfigValidation(t *testing.T) {
 		{ComputeNodes: -1},
 		{TreeFanIn: -2},
 		{ChannelDepth: -64},
+		{TreeFanIn: MaxTreeFanIn + 1},
+		{ChannelDepth: MaxChannelDepth + 1},
+		{ChannelDepth: 1 << 40},
 		{Fault: FaultPlan{Update: LinkFaults{Drop: 7}}},
 	} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("config validated: %+v", cfg)
 		}
 	}
-	if err := (Config{ComputeNodes: 2, TreeFanIn: 4, ChannelDepth: 8}).Validate(); err != nil {
-		t.Errorf("sane config rejected: %v", err)
+	for _, cfg := range []Config{
+		{ComputeNodes: 2, TreeFanIn: 4, ChannelDepth: 8},
+		{TreeFanIn: MaxTreeFanIn, ChannelDepth: MaxChannelDepth},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("sane config rejected: %v", err)
+		}
 	}
 	g := clusterGraph(t)
 	a := clusterAssign(t, g, 3)

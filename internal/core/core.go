@@ -121,9 +121,24 @@ func WithAggregation(enabled bool) Option {
 	}
 }
 
+// MaxWorkers caps WithWorkers. The simulator never runs more workers
+// than partitions, so a larger value is a mistake; the cap keeps it out
+// of job specs and flags.
+const MaxWorkers = 1 << 10
+
+// ValidateWorkers rejects a WithWorkers value above MaxWorkers. New calls
+// it, and so does anything that admits a worker count before building a
+// System (ndpserve's job specs).
+func ValidateWorkers(n int) error {
+	if n > MaxWorkers {
+		return fmt.Errorf("core: workers %d above the cap of %d", n, MaxWorkers)
+	}
+	return nil
+}
+
 // WithWorkers caps the analytical simulator's worker pool (default 0 =
-// GOMAXPROCS). Purely a speed knob: every setting, including 1, produces
-// bit-identical runs.
+// GOMAXPROCS, at most MaxWorkers). Purely a speed knob: every setting,
+// including 1, produces bit-identical runs.
 func WithWorkers(n int) Option {
 	return func(s *System) { s.workers = n }
 }
@@ -169,6 +184,9 @@ func New(arch Arch, opts ...Option) (*System, error) {
 		return nil, err
 	}
 	if err := s.ClusterConfig().Validate(); err != nil {
+		return nil, err
+	}
+	if err := ValidateWorkers(s.workers); err != nil {
 		return nil, err
 	}
 	switch arch {

@@ -252,6 +252,12 @@ func TestNewValidatesClusterOptions(t *testing.T) {
 	if _, err := New(DisaggregatedNDP, WithChannelDepth(-4)); err == nil {
 		t.Error("accepted negative channel depth")
 	}
+	if _, err := New(DisaggregatedNDP, WithChannelDepth(1<<40)); err == nil {
+		t.Error("accepted a channel depth above the cap")
+	}
+	if _, err := New(DisaggregatedNDP, WithWorkers(MaxWorkers+1)); err == nil {
+		t.Error("accepted a worker count above the cap")
+	}
 	bad := cluster.FaultPlan{Update: cluster.LinkFaults{Drop: 1.5}}
 	if _, err := New(DisaggregatedNDP, WithFaultPlan(bad)); err == nil {
 		t.Error("accepted fault plan with probability > 1")

@@ -275,7 +275,7 @@ func readBinaryV2(p []byte, flags uint32, nVerts, nEdges uint64) (*graph.Graph, 
 		count := int(offsets[v+1] - offsets[v])
 		var consumed int
 		var err error
-		edges, consumed, err = graph.DecodeCompressedAdjacency(edges, p[off:], count)
+		edges, consumed, err = graph.DecodeCompressedAdjacency(edges, p[off:], count, nVerts)
 		if err != nil {
 			return nil, fmt.Errorf("%w: vertex %d: %v", ErrBadFormat, v, err)
 		}

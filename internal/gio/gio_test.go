@@ -3,7 +3,10 @@ package gio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -346,6 +349,25 @@ func TestCompressedDetectsCorruption(t *testing.T) {
 	data[len(data)/2] ^= 0x55
 	if _, err := ReadBinary(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("v2 corruption not detected: %v", err)
+	}
+}
+
+// TestCompressedRejectsWrappedDegrees feeds a well-checksummed v2
+// container whose degrees wrap the offset prefix sum: V=2 with degrees
+// 2^64-1 and 2 sum to the header's E=1, but leave vertex 0 a count of -1.
+// ReadBinary must reject it, not panic.
+func TestCompressedRejectsWrappedDegrees(t *testing.T) {
+	buf := []byte(binaryMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, binaryVersion2)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags: unweighted
+	buf = binary.LittleEndian.AppendUint64(buf, 2)
+	buf = binary.LittleEndian.AppendUint64(buf, 1)
+	buf = binary.AppendUvarint(buf, math.MaxUint64)
+	buf = binary.AppendUvarint(buf, 2)
+	buf = append(buf, 0, 1)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	if _, err := ReadBinary(bytes.NewReader(buf)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("wrapped degrees: err = %v, want ErrBadFormat", err)
 	}
 }
 

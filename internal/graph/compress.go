@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Adjacency compression: sorted neighbor lists delta-encode extremely
@@ -29,23 +30,45 @@ func AppendCompressedAdjacency(buf []byte, neighbors []VertexID) []byte {
 }
 
 // DecodeCompressedAdjacency decodes count neighbors from buf, appending
-// to dst, and returns the extended dst plus the bytes consumed.
-func DecodeCompressedAdjacency(dst []VertexID, buf []byte, count int) ([]VertexID, int, error) {
+// to dst, and returns the extended dst plus the bytes consumed. Every
+// decoded id must be below limit (the graph's vertex count), so a caller
+// gets its range check in the same pass. One-byte gaps — the common case
+// on clustered adjacency — skip the general varint decoder.
+func DecodeCompressedAdjacency(dst []VertexID, buf []byte, count int, limit uint64) ([]VertexID, int, error) {
+	if count < 0 || count > len(buf) {
+		// Every neighbor takes at least one byte; a larger count is a
+		// truncation, and a negative one (degrees whose prefix sum
+		// wrapped) is nonsense — both caught before sizing an allocation.
+		return nil, 0, fmt.Errorf("graph: compressed adjacency of %d neighbors in %d bytes", count, len(buf))
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, count)[:base+count]
+	out := dst[base:]
 	off := 0
 	prev := uint64(0)
-	for i := 0; i < count; i++ {
-		v, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("graph: truncated compressed adjacency at neighbor %d", i)
+	for i := range out {
+		var v uint64
+		if off < len(buf) && buf[off] < 0x80 {
+			v = uint64(buf[off])
+			off++
+		} else {
+			x, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				return nil, 0, fmt.Errorf("graph: truncated compressed adjacency at neighbor %d", i)
+			}
+			v = x
+			off += n
 		}
-		off += n
-		if i > 0 {
-			v += prev
-		}
-		if v > 0xFFFFFFFF {
+		// The first id is absolute and prev is 0, so one check covers
+		// both; testing before the add keeps a forged gap from wrapping.
+		if v > 0xFFFFFFFF-prev {
 			return nil, 0, fmt.Errorf("graph: compressed neighbor %d overflows vertex id range", i)
 		}
-		dst = append(dst, VertexID(v))
+		v += prev
+		if v >= limit {
+			return nil, 0, fmt.Errorf("graph: compressed neighbor %d is %d, out of range [0,%d)", i, v, limit)
+		}
+		out[i] = VertexID(v)
 		prev = v
 	}
 	return dst, off, nil

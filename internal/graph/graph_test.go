@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -482,7 +485,7 @@ func TestCompressedAdjacencyRoundTripProperty(t *testing.T) {
 		for v := 0; v < g.NumVertices(); v++ {
 			nb := g.Neighbors(VertexID(v))
 			buf := AppendCompressedAdjacency(nil, nb)
-			got, consumed, err := DecodeCompressedAdjacency(nil, buf, len(nb))
+			got, consumed, err := DecodeCompressedAdjacency(nil, buf, len(nb), uint64(g.NumVertices()))
 			if err != nil || consumed != len(buf) || len(got) != len(nb) {
 				return false
 			}
@@ -501,8 +504,37 @@ func TestCompressedAdjacencyRoundTripProperty(t *testing.T) {
 
 func TestDecodeCompressedAdjacencyTruncated(t *testing.T) {
 	buf := AppendCompressedAdjacency(nil, []VertexID{1, 5, 9})
-	if _, _, err := DecodeCompressedAdjacency(nil, buf[:1], 3); err == nil {
+	if _, _, err := DecodeCompressedAdjacency(nil, buf[:1], 3, 10); err == nil {
 		t.Error("accepted truncated adjacency")
+	}
+}
+
+// TestDecodeCompressedAdjacencyRejects pins the decoder's checks: a gap
+// that would wrap uint64 past the 32-bit id range, a neighbor at or
+// above the vertex count, and a count the buffer cannot hold or that is
+// negative.
+func TestDecodeCompressedAdjacencyRejects(t *testing.T) {
+	wrap := binary.AppendUvarint(binary.AppendUvarint(nil, 5), math.MaxUint64-2) // 5 + gap wraps to 2
+	if _, _, err := DecodeCompressedAdjacency(nil, wrap, 2, 10); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("wrapping gap: err = %v", err)
+	}
+	big := binary.AppendUvarint(nil, 1<<32)
+	if _, _, err := DecodeCompressedAdjacency(nil, big, 1, math.MaxUint64); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("first id above 32 bits: err = %v", err)
+	}
+	buf := AppendCompressedAdjacency(nil, []VertexID{1, 200, 300})
+	if _, _, err := DecodeCompressedAdjacency(nil, buf, 3, 300); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("neighbor at the limit: err = %v", err)
+	}
+	got, n, err := DecodeCompressedAdjacency([]VertexID{9}, buf, 3, 301)
+	if err != nil || n != len(buf) || len(got) != 4 || got[0] != 9 || got[3] != 300 {
+		t.Errorf("valid list appended as %v (%d bytes), err %v", got, n, err)
+	}
+	if _, _, err := DecodeCompressedAdjacency(nil, []byte{1}, 1<<40, 10); err == nil {
+		t.Error("accepted a count the buffer cannot hold")
+	}
+	if _, _, err := DecodeCompressedAdjacency(nil, []byte{1}, -1, 10); err == nil {
+		t.Error("accepted a negative count")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -513,6 +514,42 @@ func TestHTTPRejectionStatuses(t *testing.T) {
 	}
 	if code, _ := post("x", JobSpec{Snapshot: "g", Kernel: "bogus"}); code != http.StatusBadRequest {
 		t.Fatalf("bad spec status = %d, want 400", code)
+	}
+}
+
+// TestHTTPRejectsOversizedClusterKnobs is the regression for a spec that
+// once passed Normalize and then killed the process: chandepth 2^40 sized
+// every cluster link's ack channel at 2^41 ints. Over-cap cluster knobs
+// must come back as 400s, and the server must keep serving afterwards.
+func TestHTTPRejectsOversizedClusterKnobs(t *testing.T) {
+	m, _ := newTestManager(t, ManagerConfig{Executors: 1}, nil)
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	for _, body := range []string{
+		`{"snapshot":"g","engine":"cluster","chandepth":1099511627776}`,
+		fmt.Sprintf(`{"snapshot":"g","engine":"cluster","chandepth":%d}`, cluster.MaxChannelDepth+1),
+		fmt.Sprintf(`{"snapshot":"g","engine":"cluster","treefanin":%d}`, cluster.MaxTreeFanIn+1),
+		fmt.Sprintf(`{"snapshot":"g","workers":%d}`, core.MaxWorkers+1),
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c := NewClient(ts.URL, "")
+	info, err := c.Submit(ctx, JobSpec{Snapshot: "g", Engine: EngineCluster, Kernel: "cc",
+		ChannelDepth: cluster.MaxChannelDepth, TreeFanIn: 2})
+	if err != nil {
+		t.Fatalf("at-cap spec after the rejections: %v", err)
+	}
+	if info, err = c.Wait(ctx, info.ID); err != nil || info.State != StateDone {
+		t.Fatalf("at-cap job: state %q, err %v", info.State, err)
 	}
 }
 

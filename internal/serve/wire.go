@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/cliconf"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -124,6 +125,12 @@ func (s *JobSpec) normalize() error {
 	}
 	if s.TreeFanIn < 0 || s.ChannelDepth < 0 || s.Workers < 0 {
 		return fmt.Errorf("spec: treefanin, chandepth, and workers must be non-negative")
+	}
+	if err := (cluster.Config{TreeFanIn: s.TreeFanIn, ChannelDepth: s.ChannelDepth}).Validate(); err != nil {
+		return fmt.Errorf("spec: %v", err)
+	}
+	if err := core.ValidateWorkers(s.Workers); err != nil {
+		return fmt.Errorf("spec: %v", err)
 	}
 	return nil
 }

@@ -1,7 +1,7 @@
 // Package store implements the out-of-core partition container: graphs
 // too large for RAM live on disk in the gcsr2 segment format and stream
-// through a pinned/refcounted LRU of decompressed segments — the "local
-// memory" tier of the paper's disaggregated architecture, with segment
+// through a pinned/refcounted, budgeted set of decompressed segments — the
+// "local memory" tier of the paper's disaggregated architecture, with segment
 // misses standing in for far-memory fetches.
 //
 // The gcsr2 container layers the varint-delta adjacency codec from
@@ -62,8 +62,8 @@ const (
 	iflagNonNegWeights = 1 << 0
 
 	// DefaultSegmentBytes is the decompressed-size target at which the
-	// writer closes a segment (~1 MiB of edge ids — small enough that an
-	// LRU at a few percent of the graph holds many segments, large enough
+	// writer closes a segment (~1 MiB of edge ids — small enough that a
+	// tier at a few percent of the graph holds many segments, large enough
 	// that varint decode amortizes).
 	DefaultSegmentBytes = 1 << 20
 )

@@ -21,7 +21,9 @@ import (
 // cursor: the runner keeps the current segment pinned across consecutive
 // frontier vertices and re-pins only on a segment switch, which is what
 // makes the steady-state read path hit the tier rather than the
-// container.
+// container. Each iteration's sequence of cursor pins is known before it
+// starts, and the runner hands it to the store as the schedule its
+// victim rule and prefetcher follow (schedule.go).
 
 // CheckKernel validates that the container satisfies k's requirements —
 // the out-of-core counterpart of kernels.CheckGraph. The O(E) negative-
@@ -65,6 +67,11 @@ type runner struct {
 
 	frontierEdges int64
 
+	// plan is the store's schedule while this run holds it (nil when
+	// another run does), and steps the iteration's segment order.
+	plan  *plan
+	steps []int32
+
 	// cur is the pin cursor: the segment covering the vertex most
 	// recently scattered, held pinned until the traversal crosses a
 	// segment boundary (or the run exits, including by error or cancel).
@@ -76,7 +83,9 @@ type runner struct {
 // Run executes the kernel out-of-core against the container, checking
 // ctx between iterations. The Result is bit-identical to
 // kernels.RunSerialWith(s.Materialize(), k, Options{Direction:
-// DirectionPush}).
+// DirectionPush}). While it runs, a prefetcher goroutine decodes the
+// segments its traversal is about to pin; Run joins it before returning
+// on every path.
 func Run(ctx context.Context, s *Store, k kernels.Kernel) (*kernels.Result, error) {
 	if err := CheckKernel(s, k); err != nil {
 		return nil, err
@@ -105,6 +114,15 @@ func Run(ctx context.Context, s *Store, k kernels.Kernel) (*kernels.Result, erro
 	r.agg = make([]float64, n)
 	r.has = make([]bool, n)
 	r.identity = k.Identity()
+	if r.plan = s.claim(); r.plan != nil {
+		done := make(chan struct{})
+		go s.prefetch(r.plan, done)
+		defer func() {
+			close(r.plan.jobs)
+			<-done
+			s.unclaim(r.plan)
+		}()
+	}
 	defer r.dropCursor()
 	return r.run(ctx)
 }
@@ -155,22 +173,36 @@ func (r *runner) run(ctx context.Context) (*kernels.Result, error) {
 }
 
 // prepare sums the frontier's out-edge volume from the resident offsets
-// — no segment touches.
+// and, in the same walk, records the segments the pin cursor will visit
+// — no segment touches — then installs them as the store's schedule.
 func (r *runner) prepare() {
 	r.frontierEdges = 0
+	r.steps = r.steps[:0]
 	s := r.s
+	lo, hi := uint64(1), uint64(0) // the last step's vertex range, empty at first
 	r.frontier.ForEach(func(v graph.VertexID) {
 		r.frontierEdges += s.OutDegree(v)
+		if uint64(v) < lo || uint64(v) >= hi {
+			idx := s.segFor(v)
+			r.steps = append(r.steps, idx)
+			lo, hi = s.segs[idx].first, s.segs[idx].first+s.segs[idx].count
+		}
 	})
+	if r.plan != nil {
+		s.schedule(r.plan, r.steps)
+	}
 }
 
-// traverse clears the aggregation arrays and scatters the frontier.
+// traverse clears the aggregation arrays and scatters the frontier. The
+// cursor drops at the end so the next iteration pins its schedule from
+// the first step.
 func (r *runner) traverse() {
 	for i := range r.agg {
 		r.agg[i] = r.identity
 		r.has[i] = false
 	}
 	r.pushSerial()
+	r.dropCursor()
 }
 
 // pushSerial scatters the frontier's out-edges in activation order,
@@ -186,7 +218,7 @@ func (r *runner) pushSerial() {
 		}
 		if !r.curOK || !r.cur.Contains(v) {
 			r.dropCursor()
-			sg, err := s.Pin(v)
+			sg, err := s.pin(v, r.plan)
 			if err != nil {
 				r.err = err
 				return

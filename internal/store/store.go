@@ -22,30 +22,43 @@ type Options struct {
 }
 
 // Stats is a snapshot of the tier's behavior: segment hits and misses,
-// evictions, the compressed bytes fetched from the container on misses
-// (the far-memory traffic the paper's Figure 5/6 sweeps charge), and the
+// evictions, the compressed bytes fetched from the container (the
+// far-memory traffic the paper's Figure 5/6 sweeps charge), and the
 // decompressed footprint of the resident set.
 type Stats struct {
+	// Misses counts fetches from the container — a pin's own load or a
+	// Run's prefetch. Hits counts pins served without a fetch of their
+	// own, including pins that waited on a prefetch in flight.
 	Hits, Misses, Evictions int64
 	// FarBytes is the compressed payload bytes read from the container —
-	// every miss pays its segment's full payload.
+	// every fetch pays its segment's full payload.
 	FarBytes int64
 	// ResidentBytes and PeakResidentBytes track the decompressed local
-	// tier (current and high-water).
+	// tier (current and high-water), frames being loaded included.
 	ResidentBytes, PeakResidentBytes int64
 	// Pins counts currently outstanding Pin handles.
 	Pins int64
 }
 
+// Frame states. A loading frame is reserved against the budget and
+// decoded outside s.mu by the goroutine that reserved it; pins of it
+// wait on s.loaded.
+const (
+	cold uint8 = iota
+	loading
+	resident
+)
+
 // frame is one segment's residency state: the decompressed buffers, the
-// pin count, and the intrusive LRU links threading unpinned resident
-// frames (head = most recent).
+// pin count, and the schedule step of its next use.
 type frame struct {
-	edges      []graph.VertexID
-	weights    []float32
-	refs       int32
-	prev, next int32
-	resident   bool
+	edges   []graph.VertexID
+	weights []float32
+	refs    int32
+	state   uint8
+	// next is the step of the running iteration's schedule that pins the
+	// frame next, noUse when no schedule touches it again.
+	next int
 }
 
 // segBufs is a recycled pair of decompressed buffers; evicted frames
@@ -54,8 +67,6 @@ type segBufs struct {
 	edges   []graph.VertexID
 	weights []float32
 }
-
-const nilLink = int32(-1)
 
 // Store is an open gcsr2 container: resident offsets, a lazy segment
 // tier, and the source holding the bytes. Safe for concurrent use; each
@@ -71,14 +82,14 @@ type Store struct {
 	maxSegBytes int64 // largest compressed payload (sizes the read scratch)
 
 	mu       sync.Mutex
+	loaded   sync.Cond // broadcast when a frame leaves the loading state
 	frames   []frame
 	free     []segBufs
-	scratch  []byte // pread buffer, reused across loads
-	head     int32  // LRU list of unpinned resident frames, MRU first
-	tail     int32
+	scratch  [][]byte // pread buffers, one per concurrent load
 	budget   int64
-	resident int64
+	resident int64 // decompressed bytes of resident and loading frames
 	stats    Stats
+	plan     *plan // the schedule of the Run that owns the tier, if any
 
 	digestOnce sync.Once
 	digest     string
@@ -152,12 +163,11 @@ func open(src source, opts Options) (*Store, error) {
 		offsets:  ix.offsets,
 		segs:     ix.segs,
 		frames:   make([]frame, len(ix.segs)),
-		head:     nilLink,
-		tail:     nilLink,
 		budget:   opts.LocalBytes,
 	}
+	st.loaded.L = &st.mu
 	for i := range st.frames {
-		st.frames[i].prev, st.frames[i].next = nilLink, nilLink
+		st.frames[i].next = noUse
 		if e := int64(ix.segs[i].edges); e > st.maxSegEdges {
 			st.maxSegEdges = e
 		}
@@ -255,9 +265,9 @@ func (sg Seg) NeighborWeights(v graph.VertexID) []float32 {
 	return sg.wts[lo:hi]
 }
 
-// Release unpins the segment, returning it to the evictable LRU once its
-// last pin drops. Releasing the zero Seg is a no-op so error paths can
-// release unconditionally.
+// Release unpins the segment; once its last pin drops the frame is a
+// candidate for eviction. Releasing the zero Seg is a no-op so error
+// paths can release unconditionally.
 func (sg Seg) Release() {
 	if sg.st == nil {
 		return
@@ -271,25 +281,25 @@ func (sg Seg) Release() {
 //
 //lint:pair acquire=Pin release=Release
 func (s *Store) Pin(v graph.VertexID) (Seg, error) {
+	return s.pin(v, nil)
+}
+
+// pin is Pin for a schedule: a non-nil p is the caller's plan, whose next
+// step this pin is. It advances the plan and hands the prefetcher the
+// next cold segment the plan has room for.
+func (s *Store) pin(v graph.VertexID, p *plan) (Seg, error) {
 	if int64(v) >= int64(s.NumVertices()) {
 		return Seg{}, fmt.Errorf("store: vertex %d outside container with %d vertices", v, s.NumVertices())
 	}
 	idx := s.segFor(v)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fr := &s.frames[idx]
-	if fr.resident {
-		s.stats.Hits++
-		if fr.refs == 0 {
-			s.lruRemove(idx)
-		}
-	} else {
-		if err := s.load(idx); err != nil {
+	if f, miss := s.acquire(idx, p); miss {
+		edges, weights, err := s.decode(f)
+		if err := s.complete(f, edges, weights, err); err != nil {
 			return Seg{}, err
 		}
 	}
-	fr.refs++
-	s.stats.Pins++
+	// The pin keeps the frame resident, so its buffers are stable.
+	fr := &s.frames[idx]
 	m := &s.segs[idx]
 	sg := Seg{
 		st:    s,
@@ -305,20 +315,54 @@ func (s *Store) Pin(v graph.VertexID) (Seg, error) {
 	return sg, nil
 }
 
-// release drops one pin; at zero the frame joins the LRU head.
+// acquire pins a resident frame (waiting out a load in flight) or, on a
+// miss, makes room by the victim rule — overshooting the budget only
+// when pins hold everything else — and reserves the frame for the
+// caller to decode outside the lock.
+func (s *Store) acquire(idx int32, p *plan) (fill, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p != nil {
+		s.advance(p, idx)
+		defer s.prefetchNext(p)
+	}
+	fr := &s.frames[idx]
+	for fr.state == loading {
+		s.loaded.Wait()
+	}
+	if fr.state == resident {
+		s.stats.Hits++
+		fr.refs++
+		s.stats.Pins++
+		return fill{}, false
+	}
+	s.makeRoom(s.segCost(idx), -1)
+	return s.reserve(idx), true
+}
+
+// complete publishes a pin's own load and, on success, pins the frame.
+func (s *Store) complete(f fill, edges []graph.VertexID, weights []float32, err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.publish(f, edges, weights, err); err != nil {
+		return err
+	}
+	s.frames[f.idx].refs++
+	s.stats.Pins++
+	return nil
+}
+
+// release drops one pin.
 func (s *Store) release(idx int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fr := &s.frames[idx]
-	if fr.refs <= 0 || !fr.resident {
+	if fr.refs <= 0 || fr.state != resident {
 		//lint:ignore panicpath unbalanced Release is a caller bug the pair rule exists to catch; corrupting the refcount silently would be worse
 		panic(fmt.Sprintf("store: Release of segment %d without matching Pin", idx))
 	}
 	fr.refs--
 	s.stats.Pins--
-	if fr.refs == 0 {
-		s.lruPushFront(idx)
-	}
 }
 
 // segCost is the decompressed footprint of segment idx.
@@ -330,139 +374,115 @@ func (s *Store) segCost(idx int32) int64 {
 	return c
 }
 
-// load fetches, verifies, and decompresses segment idx under s.mu,
-// evicting unpinned LRU segments to fit the budget first. Buffers come
-// from the freelist when an eviction has donated a pair, so a warmed
-// tier's miss path performs no allocation.
-func (s *Store) load(idx int32) error {
-	need := s.segCost(idx)
-	if s.budget > 0 {
-		for s.resident+need > s.budget && s.tail != nilLink {
-			s.evict(s.tail)
+// fill is one reserved load: the segment and the buffers its decode
+// writes. Only the goroutine holding the fill touches them until
+// publish.
+type fill struct {
+	idx     int32
+	bufs    segBufs
+	scratch []byte
+}
+
+// reserve marks a cold frame loading, charges its cost to the budget,
+// and takes the buffers its decode will fill. Called with s.mu held;
+// buffers come from the freelist when an eviction has donated a pair,
+// so a warmed tier's miss path performs no allocation.
+func (s *Store) reserve(idx int32) fill {
+	s.frames[idx].state = loading
+	s.resident += s.segCost(idx)
+	if s.resident > s.stats.PeakResidentBytes {
+		s.stats.PeakResidentBytes = s.resident
+	}
+	f := fill{idx: idx}
+	if n := len(s.free); n > 0 {
+		f.bufs = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		// Sized for the largest segment, so any segment fits any pair.
+		f.bufs.edges = make([]graph.VertexID, 0, s.maxSegEdges)
+		if s.weighted {
+			f.bufs.weights = make([]float32, 0, s.maxSegEdges)
 		}
 	}
-	m := &s.segs[idx]
-	payload, err := s.src.view(int64(m.off), int64(m.len), s.readScratch())
+	if n := len(s.scratch); n > 0 {
+		f.scratch = s.scratch[n-1]
+		s.scratch = s.scratch[:n-1]
+	} else {
+		f.scratch = make([]byte, s.maxSegBytes)
+	}
+	return f
+}
+
+// decode reads, verifies, and decompresses a reserved segment in one
+// pass over its payload. It runs without s.mu: the container index and
+// offsets are immutable, and the fill's buffers are the caller's alone.
+func (s *Store) decode(f fill) ([]graph.VertexID, []float32, error) {
+	m := &s.segs[f.idx]
+	payload, err := s.src.view(int64(m.off), int64(m.len), f.scratch)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if got := ieeeCRC(payload); got != m.crc {
-		return fmt.Errorf("%w: segment %d checksum %08x, computed %08x", ErrCorrupt, idx, m.crc, got)
+		return nil, nil, fmt.Errorf("%w: segment %d checksum %08x, computed %08x", ErrCorrupt, f.idx, m.crc, got)
 	}
-
-	bufs := s.takeBufs()
-	edges := bufs.edges[:0]
 	adjLen := int64(m.len)
 	if s.weighted {
 		adjLen -= int64(m.edges) * 4
 	}
 	adj := payload[:adjLen]
+	edges := f.bufs.edges[:0]
 	off := 0
-	n := int64(s.NumVertices())
+	n := uint64(s.NumVertices())
 	for v := m.first; v < m.first+m.count; v++ {
 		count := int(s.offsets[v+1] - s.offsets[v])
 		var consumed int
-		prevLen := len(edges)
-		edges, consumed, err = graph.DecodeCompressedAdjacency(edges, adj[off:], count)
+		edges, consumed, err = graph.DecodeCompressedAdjacency(edges, adj[off:], count, n)
 		if err != nil {
-			s.free = append(s.free, bufs)
-			return fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, idx, v, err)
-		}
-		for _, d := range edges[prevLen:] {
-			if int64(d) >= n {
-				s.free = append(s.free, bufs)
-				return fmt.Errorf("%w: segment %d vertex %d: neighbor %d out of range [0,%d)", ErrCorrupt, idx, v, d, n)
-			}
+			return nil, nil, fmt.Errorf("%w: segment %d vertex %d: %v", ErrCorrupt, f.idx, v, err)
 		}
 		off += consumed
 	}
 	if int64(off) != adjLen {
-		s.free = append(s.free, bufs)
-		return fmt.Errorf("%w: segment %d: %d trailing adjacency bytes", ErrCorrupt, idx, adjLen-int64(off))
+		return nil, nil, fmt.Errorf("%w: segment %d: %d trailing adjacency bytes", ErrCorrupt, f.idx, adjLen-int64(off))
 	}
-	var weights []float32
-	if s.weighted {
-		weights = bufs.weights[:0]
-		wb := payload[adjLen:]
-		for i := uint64(0); i < m.edges; i++ {
-			weights = append(weights, float32frombytes(wb[i*4:]))
-		}
+	if !s.weighted {
+		return edges, nil, nil
 	}
+	weights := f.bufs.weights[:m.edges]
+	wb := payload[adjLen:]
+	for i := range weights {
+		weights[i] = float32frombytes(wb[i*4:])
+	}
+	return edges, weights, nil
+}
 
-	fr := &s.frames[idx]
-	fr.edges = edges
-	fr.weights = weights
-	fr.resident = true
-	s.resident += need
-	if s.resident > s.stats.PeakResidentBytes {
-		s.stats.PeakResidentBytes = s.resident
+// publish completes a reserved load under s.mu: on success the frame
+// turns resident and the fetch is charged; on error the reservation and
+// buffers go back. Either way pins waiting on the frame wake.
+func (s *Store) publish(f fill, edges []graph.VertexID, weights []float32, err error) error {
+	s.scratch = append(s.scratch, f.scratch)
+	fr := &s.frames[f.idx]
+	if err != nil {
+		s.free = append(s.free, f.bufs)
+		fr.state = cold
+		s.resident -= s.segCost(f.idx)
+	} else {
+		fr.edges, fr.weights, fr.state = edges, weights, resident
+		s.stats.Misses++
+		s.stats.FarBytes += int64(s.segs[f.idx].len)
 	}
-	s.stats.Misses++
-	s.stats.FarBytes += int64(m.len)
-	return nil
+	s.loaded.Broadcast()
+	return err
 }
 
 // evict drops an unpinned resident frame, donating its buffers.
 func (s *Store) evict(idx int32) {
 	fr := &s.frames[idx]
-	s.lruRemove(idx)
 	s.free = append(s.free, segBufs{edges: fr.edges, weights: fr.weights})
 	fr.edges, fr.weights = nil, nil
-	fr.resident = false
+	fr.state = cold
 	s.resident -= s.segCost(idx)
 	s.stats.Evictions++
-}
-
-// takeBufs pops a donated buffer pair or allocates one sized for the
-// largest segment (so any segment fits any recycled pair).
-func (s *Store) takeBufs() segBufs {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		return b
-	}
-	b := segBufs{edges: make([]graph.VertexID, 0, s.maxSegEdges)}
-	if s.weighted {
-		b.weights = make([]float32, 0, s.maxSegEdges)
-	}
-	return b
-}
-
-// readScratch returns the pread scratch buffer (unused by mmap sources).
-func (s *Store) readScratch() []byte {
-	if s.scratch == nil {
-		s.scratch = make([]byte, s.maxSegBytes)
-	}
-	return s.scratch
-}
-
-// lruPushFront links idx as the most recently used unpinned frame.
-func (s *Store) lruPushFront(idx int32) {
-	fr := &s.frames[idx]
-	fr.prev, fr.next = nilLink, s.head
-	if s.head != nilLink {
-		s.frames[s.head].prev = idx
-	}
-	s.head = idx
-	if s.tail == nilLink {
-		s.tail = idx
-	}
-}
-
-// lruRemove unlinks idx from the unpinned list.
-func (s *Store) lruRemove(idx int32) {
-	fr := &s.frames[idx]
-	if fr.prev != nilLink {
-		s.frames[fr.prev].next = fr.next
-	} else {
-		s.head = fr.next
-	}
-	if fr.next != nilLink {
-		s.frames[fr.next].prev = fr.prev
-	} else {
-		s.tail = fr.prev
-	}
-	fr.prev, fr.next = nilLink, nilLink
 }
 
 // Digest returns the SHA-256 of the container bytes ("sha256:<hex>") —

@@ -170,10 +170,13 @@ step go test -race -count=2 -run '^TestParallelMatchesSerial$' ./internal/sim/
 
 # Store lifecycle under the race detector at -count=2: the pin/release
 # refcount protocol hammered from many goroutines, cancellation returning
-# every refcount to baseline, and the no-leaked-goroutines gate — the
-# LRU tier's correctness-under-concurrency claims must hold run over run.
+# every refcount to baseline (with a prefetch in flight), the
+# no-leaked-goroutines gate, and — since Run decodes on a second
+# goroutine — the budget sweep and the bit-identity differential. The
+# scheduled tier's correctness-under-concurrency claims must hold run
+# over run.
 step go test -race -count=2 \
-    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreLeavesNoGoroutines$' \
+    -run '^TestStorePinConcurrentHammer$|^TestStoreRunCancellation$|^TestStoreLeavesNoGoroutines$|^TestStoreTierPressure$|^TestStoreMatchesInMemory$' \
     ./internal/store/
 
 step go test -race ./...

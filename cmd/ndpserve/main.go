@@ -131,7 +131,7 @@ func main() {
 		TenantQuota:  *tenantQuota,
 		CacheEntries: *cacheSize,
 	})
-	srv := &http.Server{Addr: *addr, Handler: serve.NewServer(mgr)}
+	srv := newHTTPServer(*addr, serve.NewServer(mgr))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -156,6 +156,27 @@ func main() {
 	mgr.Stop()
 	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
+	}
+}
+
+// Connection timeouts. Without them a client that never finishes its
+// request headers, or parks an idle keep-alive connection, holds the
+// connection and its goroutine forever. ReadTimeout and WriteTimeout stay
+// unset on purpose: they cap the whole request or response, and a large
+// snapshot PUT body or result download over a slow link is legitimate
+// traffic that a fixed cap would cut off.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the server ndpserve listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

@@ -8,6 +8,12 @@ import (
 	"repro/internal/graph"
 )
 
+// runDirOptBFS is direction-optimized BFS (Beamer et al.) as the engine
+// runs it: push/pull switching under the default alpha and beta.
+func runDirOptBFS(g *graph.Graph, source graph.VertexID) (*Result, error) {
+	return RunSerialWith(g, NewBFS(source), Options{Direction: DirectionAuto})
+}
+
 func TestDirOptMatchesClassicBFS(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	g1, err := gen.Twitter7.Generate(0.25, gen.Config{Seed: 7, DropSelfLoops: true})
@@ -29,10 +35,11 @@ func TestDirOptMatchesClassicBFS(t *testing.T) {
 	for name, g := range graphs {
 		for _, src := range []graph.VertexID{0, graph.VertexID(g.NumVertices() / 2)} {
 			want := BFSClassic(g, src)
-			got, _, err := RunBFSDirectionOptimized(g, src, 0, 0)
+			res, err := runDirOptBFS(g, src)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := res.Values
 			for v := range want {
 				if math.IsInf(want[v], 1) && math.IsInf(got[v], 1) {
 					continue
@@ -52,7 +59,7 @@ func TestDirOptUsesPullOnDenseGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := RunBFSDirectionOptimized(g, 0, 0, 0)
+	stats, err := runDirOptBFS(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +91,7 @@ func TestDirOptStaysPushOnHighDiameterGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := RunBFSDirectionOptimized(g, 0, 0, 0)
+	stats, err := runDirOptBFS(g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +105,7 @@ func TestDirOptSourceRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunBFSDirectionOptimized(g, 99, 0, 0); err == nil {
+	if _, err := runDirOptBFS(g, 99); err == nil {
 		t.Error("accepted out-of-range source")
 	}
 }
@@ -110,7 +117,7 @@ func BenchmarkDirOptBFS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunBFSDirectionOptimized(g, 0, 0, 0); err != nil {
+		if _, err := runDirOptBFS(g, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -124,11 +131,11 @@ func TestDirOptTransposeCachedAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunBFSDirectionOptimized(g, 0, 0, 0); err != nil {
+	if _, err := runDirOptBFS(g, 0); err != nil {
 		t.Fatal(err)
 	}
 	tr := g.Transpose()
-	if _, _, err := RunBFSDirectionOptimized(g, graph.VertexID(g.NumVertices()/2), 0, 0); err != nil {
+	if _, err := runDirOptBFS(g, graph.VertexID(g.NumVertices()/2)); err != nil {
 		t.Fatal(err)
 	}
 	if g.Transpose() != tr {
@@ -156,7 +163,7 @@ func TestDirOptAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, _, err := RunBFSDirectionOptimized(g, 0, 0, 0); err != nil {
+		if _, err := runDirOptBFS(g, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,7 +21,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/graph"
@@ -121,7 +120,10 @@ type Kernel interface {
 	// ok=false suppresses the update (e.g. unreachable source).
 	Scatter(ec EdgeContext) (update float64, ok bool)
 	// Aggregate reduces two contributions. Must be commutative and
-	// associative; in-network aggregation relies on it.
+	// associative, and must equal Traits().Agg.Combine(a, b) bit for bit
+	// on every non-NaN input: the in-network aggregation model reduces
+	// by the operator alone, and the out-of-core runner folds with the
+	// inlined operator instead of calling Aggregate.
 	Aggregate(a, b float64) float64
 	// Apply folds the aggregated contribution into the old property and
 	// reports whether the vertex activates for the next iteration.
@@ -135,6 +137,19 @@ type Kernel interface {
 type SourcedKernel interface {
 	Kernel
 	Source() graph.VertexID
+}
+
+// SourceKernel is implemented by kernels whose per-edge contribution
+// depends only on the source vertex, not on the destination or the edge
+// weight. An engine can then compute it once per frontier vertex and
+// fold the same value into every out-neighbor.
+type SourceKernel interface {
+	Kernel
+	// ScatterSource returns the contribution every out-edge of src
+	// carries. Scatter(ec) must equal ScatterSource(ec.Src, ec.SrcValue,
+	// ec.SrcOutDegree) bit for bit, ok included, whatever ec.Dst and
+	// ec.Weight are.
+	ScatterSource(src graph.VertexID, srcValue float64, srcOutDegree int64) (update float64, ok bool)
 }
 
 // GatherKernel is implemented by frontier-driven kernels whose traversal
@@ -172,27 +187,29 @@ type StatefulKernel interface {
 	OnScattered(v graph.VertexID)
 }
 
-// aggregate applies op to (a, b); shared by kernels and the in-network
-// aggregation model.
-func aggregate(op AggOp, a, b float64) float64 {
+// Combine applies op to (a, b). It is the one implementation of the
+// reduction every Kernel.Aggregate must equal, small enough to inline
+// into a per-edge fold. The builtin min and max follow math.Min and
+// math.Max on signed zeros and infinities, and return NaN for any NaN
+// operand (math.Min(-Inf, NaN) is -Inf; no kernel produces NaN).
+func (op AggOp) Combine(a, b float64) float64 {
 	switch op {
 	case AggSum:
 		return a + b
 	case AggMin:
-		return math.Min(a, b)
+		return min(a, b)
 	case AggMax:
-		return math.Max(a, b)
-	default:
-		//lint:ignore panicpath exhaustive switch over the package's own enum; a new AggOp must extend this switch
-		panic(fmt.Sprintf("kernels: unknown AggOp %d", op))
+		return max(a, b)
 	}
+	//lint:ignore panicpath exhaustive switch over the package's own enum; a new AggOp must extend this switch
+	panic("kernels: unknown AggOp")
 }
 
 // AggregateValues reduces a slice with op, starting from identity.
 func AggregateValues(op AggOp, identity float64, values []float64) float64 {
 	acc := identity
 	for _, v := range values {
-		acc = aggregate(op, acc, v)
+		acc = op.Combine(acc, v)
 	}
 	return acc
 }

@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -321,6 +323,83 @@ func TestIdentityIsNeutralProperty(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s identity not neutral: %v", k.Name(), err)
+		}
+	}
+}
+
+// TestScatterSourceMatchesScatter pins the SourceKernel contract the
+// out-of-core runner relies on when it scatters once per source: for every
+// registry kernel that implements it, Scatter equals ScatterSource bit for
+// bit, ok included, whatever the edge's destination and weight.
+func TestScatterSourceMatchesScatter(t *testing.T) {
+	g, err := gen.ErdosRenyi(16, 48, gen.Config{Seed: 3, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	rng := rand.New(rand.NewSource(1))
+	var implementers []string
+	for _, k := range All() {
+		sk, ok := k.(SourceKernel)
+		if !ok {
+			continue
+		}
+		implementers = append(implementers, k.Name())
+		k.InitialFrontier(g) // sizes per-vertex state (delta-PageRank residuals)
+		if st, ok := k.(StatefulKernel); ok {
+			st.OnScattered(0) // a drained residual takes the ok=false path
+		}
+		for _, val := range []float64{0, math.Inf(1), 0.37, 5} {
+			for _, deg := range []int64{0, 3} {
+				for src := graph.VertexID(0); int(src) < n; src++ {
+					want, wantOK := sk.ScatterSource(src, val, deg)
+					for trial := 0; trial < 4; trial++ {
+						ec := EdgeContext{
+							Src: src, Dst: graph.VertexID(rng.Intn(n)), SrcValue: val,
+							Weight: float32(rng.NormFloat64() * 10), SrcOutDegree: deg,
+						}
+						got, gotOK := k.Scatter(ec)
+						if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s: Scatter(%+v) = (%v, %v), ScatterSource = (%v, %v)",
+								k.Name(), ec, got, gotOK, want, wantOK)
+						}
+					}
+				}
+			}
+		}
+	}
+	// SSSP and SSWP read the edge weight, so they must not claim the
+	// per-source fast path.
+	want := []string{"bfs", "cc", "indegree", "pagerank", "pagerank-delta", "ppr", "reach"}
+	if !reflect.DeepEqual(implementers, want) {
+		t.Fatalf("SourceKernel implementers = %v, want %v", implementers, want)
+	}
+}
+
+// TestCombineMatchesAggregate pins the Kernel.Aggregate contract: the
+// inlined Traits().Agg.Combine equals every kernel's Aggregate bit for
+// bit on signed zeros, infinities and normal values, and agrees on
+// NaN-ness (+Inf + -Inf).
+func TestCombineMatchesAggregate(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		1, -1, 0.1, 3.5, -2.25, 1e300, math.SmallestNonzeroFloat64,
+	}
+	for _, k := range All() {
+		op := k.Traits().Agg
+		for _, a := range vals {
+			for _, b := range vals {
+				got, want := op.Combine(a, b), k.Aggregate(a, b)
+				if math.IsNaN(got) || math.IsNaN(want) {
+					if math.IsNaN(got) != math.IsNaN(want) {
+						t.Errorf("%s: %v.Combine(%v, %v) = %v, Aggregate = %v", k.Name(), op, a, b, got, want)
+					}
+					continue
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: %v.Combine(%v, %v) = %v, Aggregate = %v", k.Name(), op, a, b, got, want)
+				}
+			}
 		}
 	}
 }

@@ -63,14 +63,22 @@ func (p *PageRank) InitialFrontier(g *graph.Graph) []graph.VertexID { return nil
 // Identity implements Kernel.
 func (p *PageRank) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: each out-edge carries rank/outdeg.
+// Scatter implements Kernel.
 //
 //perf:hot
 func (p *PageRank) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcOutDegree == 0 {
+	return p.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: each out-edge carries
+// rank/outdeg.
+//
+//perf:hot
+func (p *PageRank) ScatterSource(_ graph.VertexID, rank float64, outDegree int64) (float64, bool) {
+	if outDegree == 0 {
 		return 0, false
 	}
-	return ec.SrcValue / float64(ec.SrcOutDegree), true
+	return rank / float64(outDegree), true
 }
 
 // Aggregate implements Kernel.

@@ -82,14 +82,19 @@ func (p *PageRankDelta) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (p *PageRankDelta) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: propagate the residual share along each
-// out-edge.
+// Scatter implements Kernel.
 func (p *PageRankDelta) Scatter(ec EdgeContext) (float64, bool) {
-	r := p.residual[ec.Src]
-	if r == 0 || ec.SrcOutDegree == 0 {
+	return p.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: propagate the residual share
+// along each out-edge.
+func (p *PageRankDelta) ScatterSource(src graph.VertexID, _ float64, outDegree int64) (float64, bool) {
+	r := p.residual[src]
+	if r == 0 || outDegree == 0 {
 		return 0, false
 	}
-	return r / float64(ec.SrcOutDegree), true
+	return r / float64(outDegree), true
 }
 
 // Aggregate implements Kernel.
@@ -180,10 +185,16 @@ func (p *PersonalizedPageRank) Identity() float64 { return 0 }
 
 // Scatter implements Kernel.
 func (p *PersonalizedPageRank) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcOutDegree == 0 || ec.SrcValue == 0 {
+	return p.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: each out-edge carries
+// mass/outdeg.
+func (p *PersonalizedPageRank) ScatterSource(_ graph.VertexID, mass float64, outDegree int64) (float64, bool) {
+	if outDegree == 0 || mass == 0 {
 		return 0, false
 	}
-	return ec.SrcValue / float64(ec.SrcOutDegree), true
+	return mass / float64(outDegree), true
 }
 
 // Aggregate implements Kernel.

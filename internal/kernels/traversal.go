@@ -42,8 +42,13 @@ func (*ConnectedComponents) InitialFrontier(g *graph.Graph) []graph.VertexID { r
 func (*ConnectedComponents) Identity() float64 { return math.Inf(1) }
 
 // Scatter implements Kernel.
-func (*ConnectedComponents) Scatter(ec EdgeContext) (float64, bool) {
-	return ec.SrcValue, true
+func (c *ConnectedComponents) Scatter(ec EdgeContext) (float64, bool) {
+	return c.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: the source's label.
+func (*ConnectedComponents) ScatterSource(_ graph.VertexID, value float64, _ int64) (float64, bool) {
+	return value, true
 }
 
 // Aggregate implements Kernel.
@@ -107,12 +112,17 @@ func (b *BFS) InitialFrontier(g *graph.Graph) []graph.VertexID {
 // Identity implements Kernel.
 func (*BFS) Identity() float64 { return math.Inf(1) }
 
-// Scatter implements Kernel: level+1 to each neighbor.
-func (*BFS) Scatter(ec EdgeContext) (float64, bool) {
-	if math.IsInf(ec.SrcValue, 1) {
+// Scatter implements Kernel.
+func (b *BFS) Scatter(ec EdgeContext) (float64, bool) {
+	return b.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: level+1 to each neighbor.
+func (*BFS) ScatterSource(_ graph.VertexID, level float64, _ int64) (float64, bool) {
+	if math.IsInf(level, 1) {
 		return 0, false
 	}
-	return ec.SrcValue + 1, true
+	return level + 1, true
 }
 
 // Aggregate implements Kernel.
@@ -309,8 +319,13 @@ func (*InDegree) InitialFrontier(g *graph.Graph) []graph.VertexID { return nil }
 // Identity implements Kernel.
 func (*InDegree) Identity() float64 { return 0 }
 
-// Scatter implements Kernel: each edge contributes one.
-func (*InDegree) Scatter(ec EdgeContext) (float64, bool) { return 1, true }
+// Scatter implements Kernel.
+func (d *InDegree) Scatter(ec EdgeContext) (float64, bool) {
+	return d.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: each edge contributes one.
+func (*InDegree) ScatterSource(graph.VertexID, float64, int64) (float64, bool) { return 1, true }
 
 // Aggregate implements Kernel.
 func (*InDegree) Aggregate(a, b float64) float64 { return a + b }
@@ -366,8 +381,14 @@ func (r *Reachability) InitialFrontier(g *graph.Graph) []graph.VertexID {
 func (*Reachability) Identity() float64 { return 0 }
 
 // Scatter implements Kernel.
-func (*Reachability) Scatter(ec EdgeContext) (float64, bool) {
-	if ec.SrcValue == 0 {
+func (r *Reachability) Scatter(ec EdgeContext) (float64, bool) {
+	return r.ScatterSource(ec.Src, ec.SrcValue, ec.SrcOutDegree)
+}
+
+// ScatterSource implements SourceKernel: a reached source marks every
+// neighbor reached.
+func (*Reachability) ScatterSource(_ graph.VertexID, reached float64, _ int64) (float64, bool) {
+	if reached == 0 {
 		return 0, false
 	}
 	return 1, true

@@ -14,10 +14,13 @@ import (
 // adjacency streams through the segment tier instead of living in RAM.
 //
 // Bit-identity is the contract: Run mirrors RunSerialWith(DirectionPush)
-// operation for operation — same traversal order (frontier activation
-// order), same direct per-destination aggregation, same ascending-id
-// apply — so its Result compares deep-equal against the in-memory
-// engines in the differential suite. The only new behavior is the pin
+// value for value — same traversal order (frontier activation order),
+// same direct per-destination aggregation in the same order, same
+// ascending-id apply — so its Result compares deep-equal against the
+// in-memory engines in the differential suite. It does not mirror the
+// reference call for call: a SourceKernel's contribution is hoisted to
+// once per frontier vertex, and the fold is the kernel's reduction
+// operator inlined rather than an Aggregate call per edge. The only new behavior is the pin
 // cursor: the runner keeps the current segment pinned across consecutive
 // frontier vertices and re-pins only on a segment switch, which is what
 // makes the steady-state read path hit the tier rather than the
@@ -207,11 +210,17 @@ func (r *runner) traverse() {
 
 // pushSerial scatters the frontier's out-edges in activation order,
 // aggregating directly per destination — the serial reference semantics,
-// with adjacency read through the pin cursor. A Pin failure latches into
-// r.err and turns the remaining callbacks into no-ops (ForEach cannot
-// stop early).
+// with adjacency read through the pin cursor. A SourceKernel's
+// contribution is computed once per frontier vertex and folded into
+// every neighbor; any other kernel scatters per edge. Either way the fold
+// is the inlined Traits().Agg, which Kernel.Aggregate must equal, so each
+// destination sees the same values in the same order as the reference. A
+// Pin failure latches into r.err and turns the remaining callbacks into
+// no-ops (ForEach cannot stop early).
 func (r *runner) pushSerial() {
-	s, k := r.s, r.k
+	s, k, op := r.s, r.k, r.tr.Agg
+	src, perSource := k.(kernels.SourceKernel)
+	agg, has := r.agg, r.has
 	r.frontier.ForEach(func(v graph.VertexID) {
 		if r.err != nil {
 			return
@@ -225,8 +234,18 @@ func (r *runner) pushSerial() {
 			}
 			r.cur, r.curOK = sg, true
 		}
-		deg := s.OutDegree(v)
+		deg, val := s.OutDegree(v), r.values[v]
 		nbrs := r.cur.Neighbors(v)
+		if perSource {
+			u, ok := src.ScatterSource(v, val, deg)
+			if !ok {
+				return
+			}
+			for _, dst := range nbrs {
+				fold(agg, has, op, dst, u)
+			}
+			return
+		}
 		wts := r.cur.NeighborWeights(v)
 		for i, dst := range nbrs {
 			w := float32(1)
@@ -234,19 +253,24 @@ func (r *runner) pushSerial() {
 				w = wts[i]
 			}
 			u, ok := k.Scatter(kernels.EdgeContext{
-				Src: v, Dst: dst, SrcValue: r.values[v], Weight: w, SrcOutDegree: deg,
+				Src: v, Dst: dst, SrcValue: val, Weight: w, SrcOutDegree: deg,
 			})
-			if !ok {
-				continue
-			}
-			if r.has[dst] {
-				r.agg[dst] = k.Aggregate(r.agg[dst], u)
-			} else {
-				r.agg[dst] = u
-				r.has[dst] = true
+			if ok {
+				fold(agg, has, op, dst, u)
 			}
 		}
 	})
+}
+
+// fold reduces u into dst's aggregate, or seeds it with u on the first
+// contribution this iteration.
+func fold(agg []float64, has []bool, op kernels.AggOp, dst graph.VertexID, u float64) {
+	if has[dst] {
+		agg[dst] = op.Combine(agg[dst], u)
+	} else {
+		agg[dst] = u
+		has[dst] = true
+	}
 }
 
 // apply folds the aggregates in ascending vertex order, exactly as the

@@ -157,6 +157,50 @@ func TestStoreMatchesInMemory(t *testing.T) {
 	}
 }
 
+// perEdgeKernel hides every optional interface of the kernel it wraps,
+// SourceKernel included, so the runner scatters it per edge.
+type perEdgeKernel struct{ kernels.Kernel }
+
+// TestStoreMatchesInMemoryPerEdge keeps the runner's per-edge fallback
+// covered for kernels whose registry form takes the per-source path: a
+// sum and a min kernel with SourceKernel hidden must still match the
+// in-memory reference bit for bit at a pressure budget.
+func TestStoreMatchesInMemoryPerEdge(t *testing.T) {
+	g := testGraphs(t)["community"]
+	data, err := EncodeGraph(g, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"pagerank", "cc"} {
+		if _, ok := mustKernel(t, name).(kernels.SourceKernel); !ok {
+			t.Fatalf("%s no longer implements SourceKernel; pick a kernel that does", name)
+		}
+		st, err := OpenBytes(data, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mat, err := st.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := kernels.RunSerialWith(mat, mustKernel(t, name), kernels.Options{Direction: kernels.DirectionPush})
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := int64(0)
+		for i := 0; i < st.NumSegments(); i++ {
+			total += st.segCost(int32(i))
+		}
+		st.budget = total / 2
+		got, err := Run(context.Background(), st, perEdgeKernel{mustKernel(t, name)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsIdentical(t, name+"/per-edge", got, ref)
+		mustClose(t, st)
+	}
+}
+
 // TestStoreTierPressure drives a sweep of shrinking budgets and checks
 // the tier telemetry behaves like a cache should: far-memory traffic
 // strictly grows as the budget shrinks (a half budget that fetches as
@@ -220,7 +264,9 @@ func TestStoreTierPressure(t *testing.T) {
 }
 
 // cancelKernel wraps a kernel and cancels a context after its Scatter
-// has fired n times — deterministic mid-run cancellation.
+// has fired n times — deterministic mid-run cancellation. Embedding the
+// Kernel interface hides SourceKernel, so the runner calls Scatter per
+// edge and the count is in edges.
 type cancelKernel struct {
 	kernels.Kernel
 	remaining int

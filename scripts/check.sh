@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # check.sh — the single gate every change must pass before merging.
 #
-# Order is deliberate: cheap static stages first (build, vet, ndplint
+# Order is deliberate: cheap static stages first (build, vet, gofmt, ndplint
 # against the committed baseline, fix hygiene, baseline ratchet), then
 # the test tiers (plain, -race), then a short fuzz budget on the
 # graph-I/O parsers and the lint CFG builder. Any stage failing fails
@@ -29,6 +29,18 @@ step() {
 
 step go build ./...
 step go vet ./...
+
+# Formatting: gofmt must have nothing to say about any Go file in the
+# tree, fixtures and the benchmark module included.
+echo
+echo "==> gofmt -l . (must be empty)"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo "check.sh: unformatted Go files; run: gofmt -w <file>" >&2
+    exit 1
+fi
+echo "(empty)"
 step go run ./cmd/ndplint -baseline lint-baseline.json ./...
 
 # Fix hygiene: every fixable finding must already be fixed in the tree,
